@@ -39,6 +39,12 @@ _BASELINE_RESOURCES: tuple[tuple[str, str], ...] = (
     ("images.example", "/hero.jpg"),
 )
 
+#: Log-normal locations of the HTML fetch and content load times.  Kept as
+#: ``np.log``: ``math.log`` may differ in the last bit, which would shift
+#: every page's load times.
+_LOG_HTML_FETCH_MS = np.log(220)
+_LOG_CONTENT_LOAD_MS = np.log(2_400)
+
 
 @dataclass(frozen=True, slots=True)
 class Page:
@@ -103,8 +109,8 @@ def build_page(publisher: Publisher, *, seed: int = 2019) -> Page:
         # Non-HB pages often still carry ordinary ad or analytics tags.
         header_scripts.append("https://pagead2.googlesyndication.com/pagead/js/adsbygoogle.js")
 
-    html_fetch_ms = float(np.clip(rng.lognormal(mean=np.log(220), sigma=0.45), 60, 3_000))
-    content_load_ms = float(np.clip(rng.lognormal(mean=np.log(2_400), sigma=0.55), 400, 30_000))
+    html_fetch_ms = min(max(rng.lognormal(mean=_LOG_HTML_FETCH_MS, sigma=0.45), 60.0), 3_000.0)
+    content_load_ms = min(max(rng.lognormal(mean=_LOG_CONTENT_LOAD_MS, sigma=0.55), 400.0), 30_000.0)
 
     n_resources = int(rng.integers(3, len(_BASELINE_RESOURCES) + 1))
     resources = _BASELINE_RESOURCES[:n_resources]

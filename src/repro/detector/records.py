@@ -8,7 +8,7 @@ that is observable from the browser — no ground truth ever leaks in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import DetectionError
 from repro.models import HBFacet
@@ -123,8 +123,3 @@ class SiteDetection:
     @property
     def n_late_bids(self) -> int:
         return sum(1 for bid in self.all_bids if bid.late)
-
-
-def count_bids(detections: Iterable[SiteDetection]) -> int:
-    """Total observed bids over many detections (Table 1 helper)."""
-    return sum(detection.n_bids for detection in detections)

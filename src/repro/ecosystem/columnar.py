@@ -215,6 +215,8 @@ class _SiteSim:
     __slots__ = (
         "publisher", "domain", "rank", "uses_hb",
         "html_fetch_ms", "content_load_ms", "n_res", "n_scr",
+        # trailing resource/script fetches from known-partner hosts
+        "trailing",
         # non-HB
         "wf_heads", "wf_max_levels", "latency_scale",
         # HB common
@@ -233,8 +235,63 @@ class _SiteSim:
     )
 
 
+def _shared(cache: dict, obj: object, build: Callable[[object], tuple]) -> tuple:
+    """``build(obj)``, computed once per object for the cache's lifetime.
+
+    Keyed by identity: the profile table hands every site with an equal key
+    the same partner profile, pool or waterfall object.  The entry pins
+    ``obj``, so its id cannot be reused while the entry lives.
+    """
+    entry = cache.get(id(obj))
+    if entry is None:
+        entry = cache.setdefault(id(obj), (obj, build(obj)))
+    return entry[1]
+
+
+def _flat_waterfall(wf) -> tuple:
+    """A :class:`SiteWaterfall`'s chain-construction inputs, per head size.
+
+    ``(profiles, popularity weights, probability list, cdf list, head
+    length)``, in popularity order.
+    """
+    flats: dict[str, tuple] = {
+        name: (
+            _flat_latency(wprof.latency),
+            wprof.fill_probability,
+            wprof.cpm_sigma,
+            wprof.cpm_mu_by_label,
+        )
+        for name, wprof in wf.profiles.items()
+    }
+    return tuple(
+        (
+            tuple(flats[partner.name] for partner in head),
+            tuple(partner.popularity_weight for partner in head),
+            probabilities.tolist(),
+            cdf.tolist(),
+            len(head),
+        )
+        for head, probabilities, cdf in wf.heads
+    )
+
+
+def _flat_internal(pool, shared: dict) -> tuple:
+    """An :class:`InternalPool` flattened for :func:`_sample_internal`."""
+    low, high = pool.bounds
+    return (
+        low,
+        high,
+        tuple(
+            (prof.bidder_code, prof.partner.name, _shared(shared, prof, _flat_respond))
+            for prof in pool.profiles
+        ),
+        pool.weights.tolist() if pool.weights is not None else None,
+        pool.cdf.tolist() if pool.cdf is not None else None,
+    )
+
+
 def _compile_sim(
-    profile: "SiteProfile", publisher: "Publisher", known: "KnownPartnerList"
+    profile: "SiteProfile", publisher: "Publisher", known: "KnownPartnerList", shared: dict
 ) -> _SiteSim:
     page = profile.page
     sim = _SiteSim()
@@ -251,30 +308,10 @@ def _compile_sim(
         # Baseline and waterfall traffic never carries hb_* parameters and
         # never receives a response, so nothing a non-HB page emits can move
         # the detector off its "no evidence" verdict: only the page-load
-        # clock needs simulating.  The chain-construction inputs are
-        # flattened per head size: (profiles, popularity weights,
-        # probability list, cdf list, head length), in popularity order.
+        # clock needs simulating.
         wf = profile.waterfall
         sim.wf_max_levels = wf.max_levels
-        flats: dict[str, tuple] = {
-            name: (
-                _flat_latency(wprof.latency),
-                wprof.fill_probability,
-                wprof.cpm_sigma,
-                wprof.cpm_mu_by_label,
-            )
-            for name, wprof in wf.profiles.items()
-        }
-        sim.wf_heads = tuple(
-            (
-                tuple(flats[partner.name] for partner in head),
-                tuple(partner.popularity_weight for partner in head),
-                probabilities.tolist(),
-                cdf.tolist(),
-                len(head),
-            )
-            for head, probabilities, cdf in wf.heads
-        )
+        sim.wf_heads = _shared(shared, wf, _flat_waterfall)
         return sim
 
     match = known.match_host
@@ -285,6 +322,21 @@ def _compile_sim(
     page_host = url_host(page.url)
     page_partner = match(page_host)
     sim.page_event = (page.url, page_host, page_partner) if page_partner is not None else None
+    # Baseline resources, then header scripts, each fetched at the clock
+    # time its position in the trailing dwell sequence reaches.  A fetch
+    # from a known-partner host can pair with a late bid response from the
+    # same host, so those become events; the rest only move the clock.
+    # Neither kind carries a query string, so their parameters are empty.
+    hosts = [host for host, _ in page.baseline_resources]
+    hosts += [url_host(url) for url in page.header_script_urls]
+    trailing = []
+    for position, (url, host) in enumerate(
+        zip((*profile.resource_urls, *page.header_script_urls), hosts)
+    ):
+        partner = match(host)
+        if partner is not None:
+            trailing.append((position, url, host, partner))
+    sim.trailing = tuple(trailing)
 
     slots = publisher.auctioned_slots
     display = profile.display_codes
@@ -297,16 +349,10 @@ def _compile_sim(
     sim.timeout_ms = publisher.timeout_ms
     sim.misconfigured = publisher.misconfigured_wrapper
 
-    low, high = profile.internal_pool
+    pool = profile.internal_auction
     sim.internal_rec = (
-        low,
-        high,
-        tuple(
-            (internal.bidder_code, internal.partner.name, _flat_respond(internal))
-            for internal in profile.internal_profiles
-        ),
-        profile.internal_weights.tolist() if profile.internal_weights is not None else None,
-        profile.internal_cdf.tolist() if profile.internal_cdf is not None else None,
+        _shared(shared, pool, lambda pool: _flat_internal(pool, shared))
+        if pool is not None else None
     )
 
     if publisher.facet is HBFacet.SERVER_SIDE:
@@ -329,7 +375,9 @@ def _compile_sim(
         params = dict(template)
         params["auction_id"] = _AID
         host = url_host(url)
-        recs.append((prof.bidder_code, _flat_respond(prof), url, host, match(host), params))
+        recs.append(
+            (prof.bidder_code, _shared(shared, prof, _flat_respond), url, host, match(host), params)
+        )
     sim.client_recs = tuple(recs)
 
     push_url = profile.ad_server_push_url
@@ -350,9 +398,11 @@ def _compile_sim(
     return sim
 
 
-#: Compiled sims per profile table; rebuilt wholesale if the worker's
-#: known-partner list changes (one list per detector, shared by clones).
-_SIM_CACHE: "WeakKeyDictionary[SiteProfileTable, tuple[object, dict]]" = WeakKeyDictionary()
+#: Compiled sims per profile table, plus the flattened records of the
+#: table's shared partner profiles, pools and waterfalls (keyed by object
+#: id); rebuilt wholesale if the worker's known-partner list changes (one
+#: list per detector, shared by clones).
+_SIM_CACHE: "WeakKeyDictionary[SiteProfileTable, tuple[object, dict, dict]]" = WeakKeyDictionary()
 _SIM_LOCK = threading.Lock()
 
 
@@ -363,10 +413,11 @@ def _sims_for(
 ) -> list[_SiteSim]:
     entry = _SIM_CACHE.get(table)
     if entry is None or entry[0] is not known:
-        entry = (known, {})
+        entry = (known, {}, {})
         with _SIM_LOCK:
             _SIM_CACHE[table] = entry
     cache: dict[str, _SiteSim] = entry[1]
+    shared: dict = entry[2]
     sims: list[_SiteSim] = []
     fresh: list[tuple[str, _SiteSim]] = []
     for publisher in publishers:
@@ -374,7 +425,7 @@ def _sims_for(
         if sim is not None and (sim.publisher is publisher or sim.publisher == publisher):
             sims.append(sim)
             continue
-        sim = _compile_sim(table.profile_for(publisher), publisher, known)
+        sim = _compile_sim(table.profile_for(publisher), publisher, known, shared)
         fresh.append((publisher.domain, sim))
         sims.append(sim)
     if fresh:
@@ -493,7 +544,7 @@ def _swr(gen, p_list: list, cdf_list: list, size: int) -> list:
 
 
 def _sample_internal(gen, rec) -> list:
-    """``SiteProfile.sample_internal_bidders`` over the flattened pool.
+    """``InternalPool.sample`` over the flattened pool.
 
     Same RNG order (count draw, then the weighted choice); returns
     ``(bidder_code, partner_name, respond_flat)`` triples instead of
@@ -519,16 +570,17 @@ def _flat_respond(prof) -> tuple:
         _flat_latency(prof.internal) if prof.internal is not None else None,
         prof.bid_probability,
         prof.cpm_sigma,
-        prof.cpm_mus,
+        prof.cpm_mu_by_label,
     )
 
 
 def _respond_draws(
-    gen: np.random.Generator, flat: tuple, slot_index: int
+    gen: np.random.Generator, flat: tuple, label: str
 ) -> tuple[float, float | None]:
-    """The draw sequence of ``PartnerProfile.respond`` without the response
-    object; the latency sampling is :func:`_sample_latency` inlined."""
-    latency_flat, internal_flat, bid_probability, cpm_sigma, cpm_mus = flat
+    """The draw sequence of ``PartnerProfile.respond`` for a slot of size
+    ``label``, without the response object; the latency sampling is
+    :func:`_sample_latency` inlined."""
+    latency_flat, internal_flat, bid_probability, cpm_sigma, cpm_mu_by_label = flat
     mu, sigma, minimum, slow_probability, slow_multiplier = latency_flat
     value = float(gen.lognormal(mu, sigma))
     if slow_probability and gen.random() < slow_probability:
@@ -542,7 +594,7 @@ def _respond_draws(
         latency += value if value > minimum else minimum
     cpm = None
     if gen.random() < bid_probability:
-        drawn = float(gen.lognormal(cpm_mus[slot_index], cpm_sigma))
+        drawn = float(gen.lognormal(cpm_mu_by_label[label], cpm_sigma))
         cpm = round(max(drawn, 0.0001), 5)
     return latency, cpm
 
@@ -595,7 +647,7 @@ def _simulate_hb_page(
             best = None
             best_cpm = 0.0
             for bidder in internal_bidders:
-                _, cpm = _respond_draws(gen, bidder[2], slot_index)
+                _, cpm = _respond_draws(gen, bidder[2], labels[slot_index])
                 if cpm is not None and (best is None or cpm > best_cpm):
                     best, best_cpm = bidder, cpm
             params: dict[str, str] = {"correlator": _AID, "slot": codes[slot_index]}
@@ -632,7 +684,7 @@ def _simulate_hb_page(
             first_latency = None
             cpms = []
             for slot_index in range(slots_n):
-                latency, cpm = _respond_draws(gen, flat, slot_index)
+                latency, cpm = _respond_draws(gen, flat, labels[slot_index])
                 cpms.append(cpm)
                 if first_latency is None:
                     first_latency = latency
@@ -782,7 +834,7 @@ def _simulate_hb_page(
                 best_internal = None
                 best_internal_cpm = 0.0
                 for bidder in internal_bidders:
-                    _, cpm = _respond_draws(gen, bidder[2], slot_index)
+                    _, cpm = _respond_draws(gen, bidder[2], labels[slot_index])
                     if cpm is not None and (best_internal is None or cpm > best_internal_cpm):
                         best_internal, best_internal_cpm = bidder, cpm
                 winner_name = None
@@ -850,13 +902,20 @@ def _simulate_hb_page(
 
     dom.bids = dom_bids
 
-    # Baseline resources and header scripts: outgoing-only traffic after the
-    # last response of the page; cannot affect detection, only the clock.
+    # Baseline resources and header scripts: outgoing-only traffic, mostly
+    # to hosts the detector ignores.  A fetch from a known-partner host is
+    # an event: a late bid response from that host still pairs with it.
     # Fixed counts, so one batched draw replaces the per-dwell scalar calls
     # (elementwise scaling and sequential adds keep the floats bit-exact).
-    for value in (5.0 + 35.0 * gen.random(sim.n_res)).tolist():
-        t += value
-    for value in (3.0 + 17.0 * gen.random(sim.n_scr)).tolist():
+    dwells = (5.0 + 35.0 * gen.random(sim.n_res)).tolist()
+    dwells += (3.0 + 17.0 * gen.random(sim.n_scr)).tolist()
+    done = 0
+    for position, url, host, partner in sim.trailing:
+        for value in dwells[done:position]:
+            t += value
+        done = position
+        events.append((t, 0, host, partner, {}, url, False, False, None))
+    for value in dwells[done:]:
         t += value
     t += sim.content_load_ms
     load_event = float(t)

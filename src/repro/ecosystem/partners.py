@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.models import AdSlotSize, HBFacet, PartnerKind
+from repro.models import AdSlotSize, PartnerKind
 from repro.utils.ids import slugify
 
 __all__ = ["LatencyModel", "BidBehavior", "PartnerResponse", "DemandPartner"]
@@ -264,16 +264,3 @@ class DemandPartner:
             "can_run_server_side": self.can_run_server_side,
             "runs_internal_auction": self.runs_internal_auction,
         }
-
-
-def supported_facets(partner: DemandPartner) -> tuple[HBFacet, ...]:
-    """Facets in which a partner can meaningfully participate.
-
-    Every partner can be a client-side or hybrid bidder; only partners able to
-    aggregate demand server-side (ad servers, large SSP/ADX) can be the single
-    endpoint of a server-side deployment.
-    """
-    facets = [HBFacet.CLIENT_SIDE, HBFacet.HYBRID]
-    if partner.can_run_server_side:
-        facets.append(HBFacet.SERVER_SIDE)
-    return tuple(facets)

@@ -17,6 +17,20 @@ This module compiles those inputs once per site into a flat, slotted
 :mod:`repro.hb.waterfall` then read precomputed values instead of re-deriving
 them per page.
 
+Shared, site-independent parts
+------------------------------
+Most of a profile does not depend on the site at all.  A partner's compiled
+behaviour (:class:`PartnerProfile`) is a pure function of
+``(partner, latency_scale, facet)``: its log-normal price locations are keyed
+by slot size label, not aligned with one site's slots.  An internal-auction
+candidate pool (:class:`InternalPool`) is a pure function of
+``(excluded partners, latency_scale, facet)``, and the waterfall tables
+(:class:`SiteWaterfall`) of ``latency_scale`` alone.  Publishers draw their
+latency scale from three values, so the table builds each of these objects
+once and every site with the same key holds the *same* object.  A
+server-side or hybrid site therefore costs one dictionary lookup for its
+~80-partner internal auction instead of ~80 fresh profiles.
+
 Equivalence contract
 --------------------
 The fast path must keep emitted detections **byte-identical** to the slow
@@ -43,7 +57,7 @@ from repro.browser.page import Page, build_page
 from repro.ecosystem.bidding import popularity_price_multiplier
 from repro.ecosystem.partners import DemandPartner, LatencyModel, PartnerResponse
 from repro.ecosystem.publishers import Publisher
-from repro.models import AdSlotSize, HBFacet
+from repro.models import STANDARD_SIZES, AdSlotSize, HBFacet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hb.environment import AuctionEnvironment
@@ -56,12 +70,17 @@ __all__ = [
     "waterfall_head_size",
     "LatencyDraw",
     "PartnerProfile",
+    "InternalPool",
     "WaterfallPartnerProfile",
     "SiteWaterfall",
     "SiteProfile",
     "SiteProfileTable",
     "sample_without_replacement",
 ]
+
+
+#: Size labels every partner profile's price mapping covers from the start.
+_STANDARD_LABELS = frozenset(size.label for size in STANDARD_SIZES)
 
 
 def sample_without_replacement(
@@ -163,28 +182,30 @@ class LatencyDraw:
 
 @dataclass(frozen=True, slots=True)
 class PartnerProfile:
-    """One demand partner's precompiled behaviour for one site.
+    """One demand partner's precompiled behaviour at one latency scale and facet.
 
-    ``cpm_mus`` is aligned with the site's ``auctioned_slots``: entry *i* is
-    ``log(base_cpm * size_multiplier(slot_i) * facet_multiplier)``, the exact
+    ``cpm_mu_by_label`` maps a slot size label to
+    ``log(base_cpm * size_multiplier(size) * facet_multiplier)``, the exact
     log-normal location :meth:`BidBehavior.sample_cpm` would recompute per
     page from the multipliers
-    :meth:`AuctionEnvironment.partner_response` re-derives.
+    :meth:`AuctionEnvironment.partner_response` re-derives.  Nothing here
+    depends on the site, so one profile serves every site that shares the
+    ``(partner, latency_scale, facet)`` key.
     """
 
     partner: DemandPartner
     bidder_code: str
-    endpoint: str
     latency: LatencyDraw
     internal: LatencyDraw | None
     bid_probability: float
     cpm_sigma: float
-    cpm_mus: tuple[float, ...]
+    #: Shared by the profiles of one (partner, facet); the table adds
+    #: non-standard sizes to it in place (see ``_cover_sizes``).
+    cpm_mu_by_label: dict[str, float]
 
     def respond(
         self,
         rng: np.random.Generator,
-        slot_index: int,
         slot_code: str,
         size: AdSlotSize,
     ) -> PartnerResponse:
@@ -194,7 +215,9 @@ class PartnerProfile:
             latency_ms += self.internal.sample(rng)
         cpm: float | None = None
         if rng.random() < self.bid_probability:
-            drawn = float(rng.lognormal(mean=self.cpm_mus[slot_index], sigma=self.cpm_sigma))
+            drawn = float(
+                rng.lognormal(mean=self.cpm_mu_by_label[size.label], sigma=self.cpm_sigma)
+            )
             cpm = round(max(drawn, 0.0001), 5)
         return PartnerResponse(
             partner=self.partner,
@@ -203,6 +226,38 @@ class PartnerProfile:
             bid_cpm=cpm,
             size=size,
         )
+
+
+@dataclass(frozen=True, slots=True)
+class InternalPool:
+    """The candidate pool of a server-side or hybrid internal auction.
+
+    A pure function of ``(excluded partners, latency_scale, facet)``: the
+    candidates are the registry minus the excluded partners, ``weights``
+    their normalised popularity and ``cdf`` its cumulative distribution —
+    everything :meth:`AuctionEnvironment.sample_internal_bidders` rebuilds
+    per page.
+    """
+
+    bounds: tuple[int, int]
+    profiles: tuple[PartnerProfile, ...] = ()
+    weights: np.ndarray | None = None
+    cdf: np.ndarray | None = None
+
+    def sample(self, rng: np.random.Generator) -> list[PartnerProfile]:
+        """Mirror of :meth:`AuctionEnvironment.sample_internal_bidders`.
+
+        Consumes the RNG identically (count draw first, then the weighted
+        choice over the candidate pool).
+        """
+        low, high = self.bounds
+        count = int(rng.integers(low, high + 1))
+        profiles = self.profiles
+        if not profiles:
+            return []
+        count = min(count, len(profiles))
+        chosen = sample_without_replacement(rng, self.weights, self.cdf, count)
+        return [profiles[int(i)] for i in chosen]
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,25 +327,7 @@ class SiteProfile:
     hybrid_render_url: str | None = None
     hybrid_internal_delay: LatencyDraw | None = None
     # -- server-side / hybrid internal auction -------------------------------
-    internal_profiles: tuple[PartnerProfile, ...] = ()
-    internal_weights: np.ndarray | None = None
-    internal_cdf: np.ndarray | None = None
-    internal_pool: tuple[int, int] = (1, 1)
-
-    def sample_internal_bidders(self, rng: np.random.Generator) -> list[PartnerProfile]:
-        """Mirror of :meth:`AuctionEnvironment.sample_internal_bidders`.
-
-        Consumes the RNG identically (count draw first, then the weighted
-        choice over the precompiled candidate pool).
-        """
-        low, high = self.internal_pool
-        count = int(rng.integers(low, high + 1))
-        profiles = self.internal_profiles
-        if not profiles:
-            return []
-        count = min(count, len(profiles))
-        chosen = sample_without_replacement(rng, self.internal_weights, self.internal_cdf, count)
-        return [profiles[int(i)] for i in chosen]
+    internal_auction: InternalPool | None = None
 
     def ad_server_latency(self, rng: np.random.Generator) -> float:
         """Mirror of :meth:`AuctionEnvironment.ad_server_latency`."""
@@ -308,9 +345,17 @@ class SiteProfileTable:
     keep one table for their whole lifetime, so a longitudinal campaign
     compiles each site once and every later visit is a dictionary hit.
 
+    Beside the per-site profiles, the table memoises the site-independent
+    parts they are built from: partner profiles per
+    ``(partner, latency_scale, facet)``, internal-auction pools per
+    ``(excluded partners, latency_scale, facet)`` and waterfall tables per
+    ``latency_scale``.  Sites with equal keys hold the same object.
+
     The table is safe to share between worker threads: compilation is
-    deterministic (a racy double-compile produces identical values) and the
-    insert/evict critical section is guarded by a lock.
+    deterministic (a racy double-compile produces identical values), the
+    shared parts are published with ``dict.setdefault`` (racing compiles
+    still hand out one object) and the site insert/evict critical section is
+    guarded by a lock.
     """
 
     __slots__ = (
@@ -321,7 +366,8 @@ class SiteProfileTable:
         "_lock",
         "_latency_cache",
         "_cpm_mu_cache",
-        "_facet_multiplier_cache",
+        "_partner_cache",
+        "_pool_cache",
         "_waterfall_cache",
         "compiles",
         # Weak-referenceable so the columnar simulator can key its compiled
@@ -344,8 +390,9 @@ class SiteProfileTable:
         self._profiles: dict[str, SiteProfile] = {}
         self._lock = threading.Lock()
         self._latency_cache: dict[tuple[str, float], tuple[LatencyDraw, LatencyDraw]] = {}
-        self._cpm_mu_cache: dict[tuple[str, str, HBFacet], float] = {}
-        self._facet_multiplier_cache: dict[tuple[str, HBFacet], float] = {}
+        self._cpm_mu_cache: dict[tuple[str, HBFacet], dict[str, float]] = {}
+        self._partner_cache: dict[tuple[str, float, HBFacet], PartnerProfile] = {}
+        self._pool_cache: dict[tuple[frozenset[str], float, HBFacet], InternalPool] = {}
         self._waterfall_cache: dict[float, SiteWaterfall] = {}
         self.compiles = 0
 
@@ -412,50 +459,101 @@ class SiteProfileTable:
             self._latency_cache[key] = draws
         return draws
 
-    def _facet_multiplier(self, partner: DemandPartner, facet: HBFacet) -> float:
-        """The combined facet multiplier of ``environment.partner_response``."""
-        key = (partner.name, facet)
-        combined = self._facet_multiplier_cache.get(key)
-        if combined is None:
-            env = self.environment
-            combined = (
-                env.pricing.facet_multiplier(facet)
-                * (env.pricing.vanilla_profile_multiplier if env.vanilla_profile else 1.0)
-                * popularity_price_multiplier(env.popularity_rank(partner), env.total_partners)
-            )
-            self._facet_multiplier_cache[key] = combined
-        return combined
-
-    def _cpm_mu(self, partner: DemandPartner, size: AdSlotSize, facet: HBFacet) -> float:
-        key = (partner.name, size.label, facet)
-        mu = self._cpm_mu_cache.get(key)
-        if mu is None:
-            location = (
-                partner.bidding.base_cpm
-                * self.environment.pricing.size_multiplier(size)
-                * self._facet_multiplier(partner, facet)
-            )
-            mu = math.log(location)
-            self._cpm_mu_cache[key] = mu
-        return mu
+    def _cpm_mus(
+        self, partner: DemandPartner, facet: HBFacet, sizes: Sequence[AdSlotSize]
+    ) -> dict[str, float]:
+        """The log-normal price location ``environment.partner_response``
+        uses, per size label."""
+        env = self.environment
+        combined = (
+            env.pricing.facet_multiplier(facet)
+            * (env.pricing.vanilla_profile_multiplier if env.vanilla_profile else 1.0)
+            * popularity_price_multiplier(env.popularity_rank(partner), env.total_partners)
+        )
+        base_cpm = partner.bidding.base_cpm
+        return {
+            size.label: math.log(base_cpm * env.pricing.size_multiplier(size) * combined)
+            for size in sizes
+        }
 
     def _partner_profile(
-        self, partner: DemandPartner, publisher: Publisher, facet: HBFacet
+        self, partner: DemandPartner, scale: float, facet: HBFacet
     ) -> PartnerProfile:
-        latency, internal = self._latency_draws(partner, publisher.latency_scale)
-        return PartnerProfile(
+        """The shared profile of ``(partner, scale, facet)`` (built on first use)."""
+        key = (partner.name, scale, facet)
+        profile = self._partner_cache.get(key)
+        if profile is not None:
+            return profile
+        # The price locations do not depend on the scale: the three scale
+        # variants of a (partner, facet) share one mapping.
+        mus = self._cpm_mu_cache.get((partner.name, facet))
+        if mus is None:
+            mus = self._cpm_mu_cache.setdefault(
+                (partner.name, facet), self._cpm_mus(partner, facet, STANDARD_SIZES)
+            )
+        latency, internal = self._latency_draws(partner, scale)
+        # setdefault, not a locked insert: a racing thread builds an equal
+        # profile, and every site still ends up holding the same object.
+        return self._partner_cache.setdefault(key, PartnerProfile(
             partner=partner,
             bidder_code=partner.bidder_code,
-            endpoint=partner.bid_endpoint(),
             latency=latency,
             internal=internal if partner.runs_internal_auction else None,
             bid_probability=partner.bidding.bid_probability,
             cpm_sigma=partner.bidding.cpm_sigma,
-            cpm_mus=tuple(
-                self._cpm_mu(partner, slot.primary_size, facet)
-                for slot in publisher.auctioned_slots
-            ),
-        )
+            cpm_mu_by_label=mus,
+        ))
+
+    def _cover_sizes(self, profile: SiteProfile, facet: HBFacet) -> None:
+        """Add the price location of any non-standard slot size to the
+        partner profiles ``profile`` uses.
+
+        Generated publishers only use :data:`STANDARD_SIZES`, which every
+        partner profile covers from the start, so this returns at once for
+        them.  A location is a pure function of the label, so filling a
+        shared mapping cannot change what another site reads.
+        """
+        extra = [
+            slot.primary_size
+            for slot in profile.publisher.auctioned_slots
+            if slot.primary_size.label not in _STANDARD_LABELS
+        ]
+        if not extra:
+            return
+        pool = profile.internal_auction
+        for partner_profile in (*profile.partner_profiles, *(pool.profiles if pool else ())):
+            mus = partner_profile.cpm_mu_by_label
+            missing = [size for size in extra if size.label not in mus]
+            if missing:
+                mus.update(self._cpm_mus(partner_profile.partner, facet, missing))
+
+    def _internal_pool(
+        self, exclude: tuple[DemandPartner, ...], scale: float, facet: HBFacet
+    ) -> InternalPool:
+        """The shared candidate pool of ``sample_internal_bidders(exclude=...)``."""
+        excluded = frozenset(p.name for p in exclude)
+        key = (excluded, scale, facet)
+        pool = self._pool_cache.get(key)
+        if pool is not None:
+            return pool
+        env = self.environment
+        # By name, like the key (registry names are unique): the field-wise
+        # dataclass equality the environment's ``not in`` runs is slow.
+        candidates = [p for p in env.registry.partners if p.name not in excluded]
+        if candidates:
+            weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
+            weights = weights / weights.sum()
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            pool = InternalPool(
+                bounds=env.internal_auction_pool,
+                profiles=tuple(self._partner_profile(p, scale, facet) for p in candidates),
+                weights=weights,
+                cdf=cdf,
+            )
+        else:
+            pool = InternalPool(bounds=env.internal_auction_pool)
+        return self._pool_cache.setdefault(key, pool)
 
     def _waterfall_for(self, scale: float) -> SiteWaterfall:
         site_wf = self._waterfall_cache.get(scale)
@@ -518,7 +616,7 @@ class SiteProfileTable:
         scale = publisher.latency_scale
         slots = publisher.auctioned_slots
         partner_profiles = tuple(
-            self._partner_profile(partner, publisher, facet) for partner in publisher.partners
+            self._partner_profile(partner, scale, facet) for partner in publisher.partners
         )
 
         # Import here: adapters sits above ecosystem in the layering and is
@@ -581,32 +679,14 @@ class SiteProfileTable:
                 "slot_count": str(len(slots)),
                 "correlator": "",
             }
-            self._compile_internal_auction(profile, (aggregator,), facet)
+            profile.internal_auction = self._internal_pool((aggregator,), scale, facet)
         else:  # hybrid
             assert ad_server is not None
             profile.ad_server_push_url = f"https://{ad_server.primary_domain}/gampad/ads"
             profile.hybrid_render_url = f"https://{ad_server.primary_domain}/gampad/render"
             profile.hybrid_internal_delay = LatencyDraw.compile(ad_server.latency, scale * 0.5)
-            self._compile_internal_auction(profile, (ad_server, *client_partners), facet)
+            profile.internal_auction = self._internal_pool(
+                (ad_server, *client_partners), scale, facet
+            )
+        self._cover_sizes(profile, facet)
         return profile
-
-    def _compile_internal_auction(
-        self,
-        profile: SiteProfile,
-        exclude: tuple[DemandPartner, ...],
-        facet: HBFacet,
-    ) -> None:
-        """Precompute the candidate pool of ``sample_internal_bidders``."""
-        env = self.environment
-        candidates = [p for p in env.registry.partners if p not in exclude]
-        profile.internal_pool = env.internal_auction_pool
-        if not candidates:
-            return
-        weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
-        profile.internal_weights = weights / weights.sum()
-        cdf = np.cumsum(profile.internal_weights)
-        cdf /= cdf[-1]
-        profile.internal_cdf = cdf
-        profile.internal_profiles = tuple(
-            self._partner_profile(partner, profile.publisher, facet) for partner in candidates
-        )

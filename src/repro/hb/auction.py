@@ -15,7 +15,6 @@ tests do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from repro.errors import AuctionError
 from repro.models import AdSlot, AdSlotSize, HBFacet, SaleChannel
@@ -152,19 +151,3 @@ class HeaderBiddingOutcome:
         for bid in self.received_bids:
             grouped.setdefault(bid.partner_name, []).append(bid)
         return grouped
-
-
-def merge_outcomes(outcomes: Iterable[HeaderBiddingOutcome]) -> dict[str, int]:
-    """Aggregate simple counters over many page-level outcomes.
-
-    Convenience used by calibration tests and the experiment runner to report
-    how many auctions / bids / late bids a simulated crawl produced.
-    """
-    n_auctions = 0
-    n_bids = 0
-    n_late = 0
-    for outcome in outcomes:
-        n_auctions += outcome.n_auctions
-        n_bids += len(outcome.received_bids)
-        n_late += sum(1 for bid in outcome.received_bids if bid.late)
-    return {"auctions": n_auctions, "bids": n_bids, "late_bids": n_late}

@@ -105,9 +105,9 @@ def dispatch_bid_requests(
         profile = partner_profiles[index] if partner_profiles is not None else None
         responses: dict[str, PartnerResponse] = {}
         response_latency: float | None = None
-        for slot_index, slot in enumerate(slots):
+        for slot in slots:
             if profile is not None:
-                response = profile.respond(rng, slot_index, slot.code, slot.primary_size)
+                response = profile.respond(rng, slot.code, slot.primary_size)
             else:
                 response = environment.partner_response(
                     rng, partner, slot, facet, latency_scale=latency_scale

@@ -112,7 +112,7 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     context.clock.advance_to(ad_server_response)
 
     if profile is not None:
-        internal_bidders: list = profile.sample_internal_bidders(rng)
+        internal_bidders: list = profile.internal_auction.sample(rng)  # type: ignore[union-attr]
         bidders_by_code = profile.client_bidders_by_code or {}
         render_url = profile.hybrid_render_url
     else:
@@ -124,7 +124,7 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
 
     slot_outcomes: list[SlotAuctionOutcome] = []
     winners_for_render: dict[str, tuple[str | None, float]] = {}
-    for slot_index, slot in enumerate(slots):
+    for slot in slots:
         # The ad server compares the best client-side bid with the best bid
         # from its internal auction.
         client_bids = on_time.get(slot.code, {})
@@ -137,7 +137,7 @@ def run_hybrid(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
         internal_results: list[tuple[DemandPartner, float | None]] = []
         for bidder in internal_bidders:
             if profile is not None:
-                response = bidder.respond(rng, slot_index, slot.code, slot.primary_size)
+                response = bidder.respond(rng, slot.code, slot.primary_size)
                 internal_results.append((bidder.partner, response.bid_cpm))
             else:
                 response = environment.partner_response(

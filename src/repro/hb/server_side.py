@@ -65,7 +65,7 @@ def run_server_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     if profile is not None and profile.aggregator_latency is not None:
         round_trip = profile.aggregator_latency.sample(rng)
         round_trip += profile.aggregator_internal.sample(rng)  # type: ignore[union-attr]
-        internal_bidders: list = profile.sample_internal_bidders(rng)
+        internal_bidders: list = profile.internal_auction.sample(rng)  # type: ignore[union-attr]
     else:
         round_trip = aggregator.latency.sample(rng, scale=publisher.latency_scale)
         round_trip += aggregator.latency.sample(rng, scale=publisher.latency_scale * 0.35)
@@ -74,11 +74,11 @@ def run_server_side(wrapper: "HBWrapper") -> HeaderBiddingOutcome:
     context.clock.advance_to(response_time)
 
     slot_outcomes: list[SlotAuctionOutcome] = []
-    for slot_index, slot in enumerate(slots):
+    for slot in slots:
         internal_bids: list[tuple[DemandPartner, float | None]] = []
         for bidder in internal_bidders:
             if profile is not None:
-                response = bidder.respond(rng, slot_index, slot.code, slot.primary_size)
+                response = bidder.respond(rng, slot.code, slot.primary_size)
                 internal_bids.append((bidder.partner, response.bid_cpm))
             else:
                 response = environment.partner_response(

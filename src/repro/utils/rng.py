@@ -9,7 +9,7 @@ seed plus a stable string key rather than shared or re-seeded ad hoc.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -60,21 +60,3 @@ def derive_rng(seed: int, *keys: object) -> np.random.Generator:
 def spawn_rngs(seed: int, keys: Iterable[object]) -> list[np.random.Generator]:
     """Derive one generator per key, preserving the key order."""
     return [derive_rng(seed, key) for key in keys]
-
-
-def weighted_choice(
-    rng: np.random.Generator,
-    items: Sequence[object],
-    weights: Sequence[float],
-) -> object:
-    """Pick one item with the given (not necessarily normalised) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    probabilities = np.asarray(weights, dtype=float) / total
-    index = int(rng.choice(len(items), p=probabilities))
-    return items[index]

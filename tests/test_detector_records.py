@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.detector.records import ObservedAuction, ObservedBid, SiteDetection, count_bids
+from repro.detector.records import ObservedAuction, ObservedBid, SiteDetection
 from repro.errors import DetectionError
 from repro.models import HBFacet
 
@@ -80,10 +80,3 @@ class TestSiteDetection:
         with pytest.raises(DetectionError):
             SiteDetection(domain="pub.example", rank=1, hb_detected=True,
                           facet=HBFacet.CLIENT_SIDE, total_latency_ms=-1.0)
-
-    def test_count_bids_helper(self):
-        detection = SiteDetection(
-            domain="pub.example", rank=3, hb_detected=True, facet=HBFacet.CLIENT_SIDE,
-            auctions=(make_auction(),),
-        )
-        assert count_bids([detection, detection]) == 2

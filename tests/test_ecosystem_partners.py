@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ecosystem.partners import BidBehavior, DemandPartner, LatencyModel, supported_facets
-from repro.models import AdSlotSize, HBFacet, PartnerKind
+from repro.ecosystem.partners import BidBehavior, DemandPartner, LatencyModel
+from repro.models import AdSlotSize, PartnerKind
 
 
 def make_partner(**overrides):
@@ -135,9 +135,3 @@ class TestDemandPartner:
         description = make_partner().describe()
         assert description["name"] == "TestBidder"
         assert isinstance(description["domains"], list)
-
-    def test_supported_facets_depend_on_server_side_capability(self):
-        plain = make_partner()
-        capable = make_partner(name="Capable", domains=("capable.com",), can_run_server_side=True)
-        assert HBFacet.SERVER_SIDE not in supported_facets(plain)
-        assert HBFacet.SERVER_SIDE in supported_facets(capable)

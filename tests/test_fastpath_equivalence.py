@@ -169,6 +169,52 @@ class TestFastPathEquivalence:
         assert slow.crawl_config().fast_path is False
 
 
+class TestLateBidPairsWithTrailingFetch:
+    """Regression: a late bid must pair with a trailing partner-host fetch.
+
+    On a hybrid page whose ad server is also its only client partner, the
+    partner's adapter script (a header script fetched after the auction)
+    goes to the same host as its bid response.  When the bid arrives late,
+    after that fetch, the reference inspector pairs the two and records a
+    latency.  The columnar path once dropped trailing fetches and wrote a
+    null latency instead.  Both pages are the ones the end-to-end benchmark
+    found: a campaign re-crawl day and a discovery pass.
+    """
+
+    @pytest.mark.parametrize("seed,sites,domain,crawl_day", [
+        (805, 2000, "site-000327.example", 8),
+        (901, 3000, "site-002188.example", 0),
+    ])
+    def test_one_site_shard_matches_reference(self, seed, sites, domain, crawl_day):
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import ExperimentRunner
+
+        runner = ExperimentRunner(ExperimentConfig(seed=seed, total_sites=sites))
+        population = runner.build_population()
+        environment = runner.build_environment(population)
+        detector = runner.build_detector(population)
+        site = next(p for p in population if p.domain == domain)
+        # The shape that triggers the pairing; guards the test's relevance.
+        assert site.facet is HBFacet.HYBRID
+        assert site.partners == (site.ad_server,)
+
+        detections = {}
+        for name, config in {
+            "columnar": CrawlConfig(seed=seed),
+            "reference": CrawlConfig(seed=seed, fast_path=False, batch_sim=False),
+        }.items():
+            with CrawlEngine(environment, detector, config) as engine:
+                detections[name] = engine.crawl([site], crawl_day=crawl_day).detections
+        assert serialise(detections["columnar"]) == serialise(detections["reference"])
+        late = [
+            bid
+            for auction in detections["reference"][0].auctions
+            for bid in auction.bids
+            if bid.late
+        ]
+        assert late and all(bid.latency_ms is not None for bid in late)
+
+
 class TestOversubscribedPlan:
     def test_parallel_plans_oversubscribe(self, small_population):
         sites = list(small_population)[:64]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AuctionError
-from repro.hb.auction import BidOutcome, HeaderBiddingOutcome, SlotAuctionOutcome, merge_outcomes
+from repro.hb.auction import BidOutcome, HeaderBiddingOutcome, SlotAuctionOutcome
 from repro.models import AdSlot, AdSlotSize, HBFacet, SaleChannel
 
 
@@ -104,14 +104,3 @@ class TestHeaderBiddingOutcome:
         with pytest.raises(AuctionError):
             HeaderBiddingOutcome(domain="x", facet=HBFacet.HYBRID, slot_outcomes=(),
                                  wrapper_timeout_ms=3000.0)
-
-    def test_merge_outcomes_counts(self):
-        outcome = HeaderBiddingOutcome(
-            domain="x.example",
-            facet=HBFacet.CLIENT_SIDE,
-            slot_outcomes=(make_slot_outcome([make_bid(), make_bid(partner_name="Criteo",
-                                                                   bidder_code="criteo", late=True)]),),
-            wrapper_timeout_ms=3000.0,
-        )
-        counts = merge_outcomes([outcome, outcome])
-        assert counts == {"auctions": 2, "bids": 4, "late_bids": 2}

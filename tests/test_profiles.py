@@ -16,6 +16,7 @@ from repro.ecosystem.profiles import (
     SiteProfileTable,
     sample_without_replacement,
 )
+from repro.ecosystem.publishers import PopulationConfig, generate_population
 from repro.models import HBFacet
 
 
@@ -79,18 +80,71 @@ class TestPartnerProfile:
             slots = publisher.auctioned_slots
             for partner, pprofile in zip(publisher.partners, profile.partner_profiles):
                 a, b = fresh_pair(seed=publisher.rank)
-                for index, slot in enumerate(slots):
+                for slot in slots:
                     expected = environment.partner_response(
                         a, partner, slot, publisher.facet,
                         latency_scale=publisher.latency_scale,
                     )
-                    got = pprofile.respond(b, index, slot.code, slot.primary_size)
+                    got = pprofile.respond(b, slot.code, slot.primary_size)
                     assert got.latency_ms == expected.latency_ms
                     assert got.bid_cpm == expected.bid_cpm
                     assert got.size == expected.size
                     assert got.slot_code == expected.slot_code
                     assert got.partner is partner
                 assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("facet", list(HBFacet))
+    def test_respond_matches_environment_for_every_slot_size(
+        self, environment, registry, facet
+    ):
+        """A shared profile serves slots of any size, draw for draw: the
+        price location is looked up by the slot's size label."""
+        from repro.models import STANDARD_SIZES, AdSlot
+
+        table = SiteProfileTable(environment, seed=13)
+        slots = [AdSlot(code=f"s-{size.label}", primary_size=size) for size in STANDARD_SIZES]
+        for partner in registry.partners[:10]:
+            for scale in (1.0, 0.72):
+                pprofile = table._partner_profile(partner, scale, facet)
+                a, b = fresh_pair(seed=len(partner.name) * 7 + int(scale * 10))
+                for _ in range(20):
+                    for slot in slots:
+                        expected = environment.partner_response(
+                            a, partner, slot, facet, latency_scale=scale
+                        )
+                        got = pprofile.respond(b, slot.code, slot.primary_size)
+                        assert (got.latency_ms, got.bid_cpm) == (
+                            expected.latency_ms, expected.bid_cpm,
+                        )
+                assert a.bit_generator.state == b.bit_generator.state
+
+    def test_non_standard_slot_sizes_are_covered(self, environment, small_population):
+        """A site whose slots use a size outside ``STANDARD_SIZES`` still
+        gets exact price locations, for its own partners and for every
+        internal-auction candidate."""
+        import dataclasses
+
+        from repro.models import AdSlot, AdSlotSize
+
+        table = SiteProfileTable(environment, seed=13)
+        publisher = next(
+            p for p in small_population.hb_publishers() if p.facet is HBFacet.SERVER_SIDE
+        )
+        odd = AdSlot(code="odd-slot", primary_size=AdSlotSize(250, 250))
+        publisher = dataclasses.replace(
+            publisher, slots=(odd,), auctioned_slots=(odd,)
+        )
+        profile = table.profile_for(publisher)
+        used = (*profile.partner_profiles, *profile.internal_auction.profiles)
+        a, b = fresh_pair(seed=5)
+        for pprofile in used:
+            expected = environment.partner_response(
+                a, pprofile.partner, odd, publisher.facet,
+                latency_scale=publisher.latency_scale,
+            )
+            got = pprofile.respond(b, odd.code, odd.primary_size)
+            assert (got.latency_ms, got.bid_cpm) == (expected.latency_ms, expected.bid_cpm)
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_ad_server_latency_matches_environment_bitwise(
         self, environment, small_population
@@ -123,7 +177,7 @@ class TestPartnerProfile:
             a, b = fresh_pair(seed=publisher.rank)
             for _ in range(40):
                 expected = environment.sample_internal_bidders(a, exclude=(aggregator,))
-                got = profile.sample_internal_bidders(b)
+                got = profile.internal_auction.sample(b)
                 assert [p.name for p in expected] == [g.partner.name for g in got]
             assert a.bit_generator.state == b.bit_generator.state
             break
@@ -159,6 +213,83 @@ class TestSiteProfileTable:
         profile = table.profile_for(changed)
         assert profile.publisher is changed
         assert table.compiles == 2
+
+    def test_equal_keys_share_one_partner_profile(self, environment, small_population):
+        """Two sites with the same (partner, latency scale, facet) hold the
+        very same PartnerProfile object, and the same internal pool when
+        they exclude the same partners."""
+        table = SiteProfileTable(environment, seed=13)
+        seen: dict[tuple, object] = {}
+        pools: dict[tuple, object] = {}
+        references = 0
+        for publisher in small_population.hb_publishers():
+            profile = table.profile_for(publisher)
+            used = list(zip(publisher.partners, profile.partner_profiles))
+            pool = profile.internal_auction
+            if pool is not None:
+                used += [(candidate.partner, candidate) for candidate in pool.profiles]
+                excluded = frozenset(publisher.partners) - {c.partner for c in pool.profiles}
+                key = (excluded, publisher.latency_scale, publisher.facet)
+                assert pools.setdefault(key, pool) is pool
+            for partner, pprofile in used:
+                key = (partner.name, publisher.latency_scale, publisher.facet)
+                assert seen.setdefault(key, pprofile) is pprofile
+                references += 1
+        assert len(seen) * 10 < references
+        assert len(pools) < len(small_population.hb_publishers())
+
+    def test_profile_count_is_bounded_by_partner_scale_facet(self, environment, registry):
+        """A 2,000-site table holds at most partners x 3 scales x facets
+        distinct partner profiles, however many sites it compiles."""
+        population = generate_population(PopulationConfig(seed=11).scaled(2_000), registry)
+        sites = list(population)
+        table = SiteProfileTable(environment, seed=11)
+        table.precompile(sites)
+        scales = {p.latency_scale for p in sites}
+        assert len(scales) == 3
+        distinct = set()
+        pools = set()
+        per_site = 0
+        for publisher in population.hb_publishers():
+            profile = table.profile_for(publisher)
+            used = profile.partner_profiles
+            if profile.internal_auction is not None:
+                pools.add(id(profile.internal_auction))
+                used = used + profile.internal_auction.profiles
+            per_site += len(used)
+            distinct.update(id(p) for p in used)
+        assert len(distinct) <= len(registry) * len(scales) * len(HBFacet)
+        # The point of sharing: far fewer objects than per-site references.
+        assert len(distinct) * 10 < per_site
+        assert len(pools) < len(population.hb_publishers())
+
+    def test_threads_compiling_one_table_share_profiles(self, environment, small_population):
+        """Threads racing to compile overlapping sites on one table still
+        hand every site with an equal key the same partner profile."""
+        import sys
+        import threading
+
+        table = SiteProfileTable(environment, seed=13)
+        sites = small_population.hb_publishers()
+        chunks = [sites[start:] + sites[:start] for start in range(0, 48, 6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=table.precompile, args=(chunk,)) for chunk in chunks]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        seen: dict[tuple, object] = {}
+        for publisher in sites:
+            profile = table.profile_for(publisher)
+            pool = profile.internal_auction
+            for pprofile in (*profile.partner_profiles, *(pool.profiles if pool else ())):
+                key = (pprofile.partner.name, publisher.latency_scale, publisher.facet)
+                assert seen.setdefault(key, pprofile) is pprofile
 
     def test_bounded_eviction(self, environment, small_population):
         table = SiteProfileTable(environment, seed=13, max_sites=8)

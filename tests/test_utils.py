@@ -1,10 +1,9 @@
 """Unit tests for the cross-cutting helpers in repro.utils."""
 
-import numpy as np
 import pytest
 
 from repro.utils.ids import IdFactory, slugify
-from repro.utils.rng import derive_rng, spawn_rngs, stable_hash, weighted_choice
+from repro.utils.rng import derive_rng, spawn_rngs, stable_hash
 from repro.utils.urls import build_url, parse_query, url_host, url_path
 
 
@@ -30,20 +29,6 @@ class TestRng:
         rngs = spawn_rngs(3, ["a", "b", "c"])
         assert len(rngs) == 3
         assert rngs[0].random() == derive_rng(3, "a").random()
-
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = np.random.default_rng(0)
-        picks = {weighted_choice(rng, ["a", "b"], [1.0, 0.0]) for _ in range(20)}
-        assert picks == {"a"}
-
-    def test_weighted_choice_validates_input(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_choice(rng, [], [])
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [0.0])
 
 
 class TestUrls:
