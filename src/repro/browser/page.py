@@ -8,16 +8,17 @@ is dominated by ordinary resources, as on the real Web.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.ecosystem.publishers import Publisher
 from repro.models import WrapperKind
-from repro.utils.rng import derive_rng
+from repro.utils.rng import StreamActivator, derive_rng, derive_states, join128
+from repro.utils.urls import build_url
 
-__all__ = ["Page", "build_page", "WRAPPER_SCRIPT_URLS"]
+__all__ = ["Page", "build_page", "build_pages", "BASELINE_RESOURCE_URLS", "WRAPPER_SCRIPT_URLS"]
 
 
 #: Canonical CDN URLs for the wrapper libraries (what a <script src> points at).
@@ -37,6 +38,12 @@ _BASELINE_RESOURCES: tuple[tuple[str, str], ...] = (
     ("cdn.example", "/site/main.css"),
     ("cdn.example", "/site/app.js"),
     ("images.example", "/hero.jpg"),
+)
+
+#: ``build_url`` of each baseline resource, built once: a page loading its
+#: first ``n`` resources fetches ``BASELINE_RESOURCE_URLS[:n]``.
+BASELINE_RESOURCE_URLS: tuple[str, ...] = tuple(
+    build_url(host, path) for host, path in _BASELINE_RESOURCES
 )
 
 #: Log-normal locations of the HTML fetch and content load times.  Kept as
@@ -96,8 +103,29 @@ def build_page(publisher: Publisher, *, seed: int = 2019) -> Page:
     that overall page-load time sits in the multi-second range reported by
     industry measurements, independently of (and additively to) any HB delay.
     """
-    rng = derive_rng(seed, "page", publisher.domain)
+    return _page_from_stream(publisher, derive_rng(seed, "page", publisher.domain))
 
+
+def build_pages(publishers: Sequence[Publisher], *, seed: int = 2019) -> list[Page]:
+    """``[build_page(p, seed=seed) for p in publishers]``, batch-seeded.
+
+    Every page stream is seeded in one vectorized pass
+    (:func:`~repro.utils.rng.derive_states`) and drawn from one reusable
+    generator, instead of one ``SeedSequence`` and generator per page.
+    """
+    hi, lo, inc_hi, inc_lo = derive_states(
+        seed, [("page", publisher.domain) for publisher in publishers]
+    )
+    activate = StreamActivator().activate
+    return [
+        _page_from_stream(publisher, activate(state, inc))
+        for publisher, state, inc in zip(publishers, join128(hi, lo), join128(inc_hi, inc_lo))
+    ]
+
+
+def _page_from_stream(publisher: Publisher, rng: np.random.Generator) -> Page:
+    """:func:`build_page`'s body; ``rng`` is the page stream at the state
+    ``derive_rng(seed, "page", domain)`` starts from."""
     header_scripts: list[str] = []
     if publisher.uses_hb:
         assert publisher.wrapper is not None

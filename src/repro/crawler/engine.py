@@ -63,7 +63,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     Executor,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
@@ -1067,6 +1066,10 @@ class ProcessPoolBackend(_ExecutorBackend):
             self._payload = SharedPayload(
                 (context.environment, context.detector, context.config)
             )
+        # Imported here: ``concurrent.futures.process`` pulls in the
+        # multiprocessing machinery, which serial runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_process_worker,

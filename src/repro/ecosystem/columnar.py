@@ -11,13 +11,15 @@ This module changes the unit of work from the page to the
 :class:`~repro.crawler.engine.CrawlShard`:
 
 * **Batch seeding.**  ``derive_rng(seed, "visit", domain, day)`` is a
-  SeedSequence over two 32-bit entropy words.  :func:`_seed_states`
-  replicates numpy's entropy-mixing and PCG64 state derivation as vectorized
+  SeedSequence over two 32-bit entropy words.
+  :func:`repro.utils.rng.derive_states`, its batch twin, replicates numpy's
+  entropy-mixing and PCG64 state derivation as vectorized
   ``uint32``/``uint64`` array arithmetic, producing every page's initial
   ``(state, inc)`` pair in a handful of numpy operations per shard.
 * **Vectorized draws for plain pages.**  Pages without header bidding and
   without waterfall ads consume a fixed, site-determined number of uniform
-  draws.  :func:`_mul128_add`/:func:`_output_doubles` step all those streams
+  draws.  :func:`~repro.utils.rng.mul128_add` /
+  :func:`~repro.utils.rng.output_doubles` step all those streams
   in lockstep (the PCG64 LCG and its XSL-RR output function, elementwise),
   so an entire shard's plain pages cost a few array operations total.
 * **Fused scalar simulation for ad pages.**  Waterfall and HB pages draw
@@ -55,7 +57,14 @@ from repro.hb.events import price_bucket
 from repro.hb.runner import wrapper_traits
 from repro.hb.waterfall import _DEFAULT_SLOT_SIZES
 from repro.models import HBFacet, RequestDirection, WebRequest
-from repro.utils.rng import fast_uniform, stable_hash
+from repro.utils.rng import (
+    StreamActivator,
+    derive_states,
+    fast_uniform,
+    join128,
+    mul128_add,
+    output_doubles,
+)
 from repro.utils.urls import url_host
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,133 +78,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["simulate_shard_columnar"]
 
 
-# ---------------------------------------------------------------------------
-# Vectorized PCG64 seeding and stepping
-#
-# Constants from numpy's SeedSequence (entropy hashing / pool mixing) and the
-# PCG64 LCG multiplier.  The kernels below are asserted bit-identical to
-# numpy, value and stream state both, by tests/test_columnar_samplers.py.
-
-_INIT_A = np.uint32(0x43B0D7E5)
-_MULT_A = np.uint32(0x931E8875)
-_INIT_B = np.uint32(0x8B51F9DD)
-_MULT_B = np.uint32(0x58F38DED)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_MULT_HI = np.uint64(2549297995355413924)
-_MULT_LO = np.uint64(4865540595714422341)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_U32_16 = np.uint32(16)
-_U64_1 = np.uint64(1)
-_U64_11 = np.uint64(11)
-_U64_32 = np.uint64(32)
-_U64_58 = np.uint64(58)
-_U64_63 = np.uint64(63)
-_U64_64 = np.uint64(64)
-_DOUBLE_SCALE = 2.0 ** -53
-
 #: The per-navigation auction id: ``IdFactory`` resets with the page, so the
 #: first (and only) auction of every page is always ``auction-000000``.
 _AID = "auction-000000"
 
 #: Responses without hb_* keys all extract to the same (never mutated) set.
 _EMPTY_HB = HBParameterSet(global_values={}, per_slot={})
-
-
-def _mul128_add(
-    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 LCG step, elementwise: ``state = state * MULT + inc`` mod 2^128.
-
-    128-bit values are carried as ``(hi, lo)`` uint64 array pairs; the
-    multiply is schoolbook over 32-bit limbs so every partial product fits a
-    uint64 without losing carries.
-    """
-    with np.errstate(over="ignore"):
-        a0 = lo & _MASK32
-        a1 = lo >> _U64_32
-        b0 = _MULT_LO & _MASK32
-        b1 = _MULT_LO >> _U64_32
-        p00 = a0 * b0
-        p01 = a0 * b1
-        p10 = a1 * b0
-        p11 = a1 * b1
-        mid = (p00 >> _U64_32) + (p01 & _MASK32) + (p10 & _MASK32)
-        new_lo = (p00 & _MASK32) | ((mid & _MASK32) << _U64_32)
-        carry = (mid >> _U64_32) + (p01 >> _U64_32) + (p10 >> _U64_32)
-        new_hi = p11 + carry + lo * _MULT_HI + hi * _MULT_LO
-        new_lo2 = new_lo + inc_lo
-        new_hi = new_hi + inc_hi + (new_lo2 < new_lo).astype(np.uint64)
-        return new_hi, new_lo2
-
-
-def _output_doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The XSL-RR output of each (post-step) state, as ``random()`` doubles."""
-    with np.errstate(over="ignore"):
-        x = hi ^ lo
-        rot = hi >> _U64_58
-        out = (x >> rot) | (x << ((_U64_64 - rot) & _U64_63))
-        return (out >> _U64_11) * _DOUBLE_SCALE
-
-
-def _seed_states(
-    seed: int, entropy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch-replicate ``default_rng(SeedSequence([seed, e]))`` per entropy word.
-
-    Returns ``(state_hi, state_lo, inc_hi, inc_lo)`` uint64 arrays holding
-    each stream's post-seeding PCG64 state — exactly the state a fresh
-    ``derive_rng`` generator starts from.
-    """
-    n = entropy.shape[0]
-    with np.errstate(over="ignore"):
-        words = np.zeros((4, n), dtype=np.uint32)
-        words[0] = np.uint32(seed & 0xFFFFFFFF)
-        words[1] = entropy
-        pool = np.zeros((4, n), dtype=np.uint32)
-        hashconst = np.full(n, _INIT_A, dtype=np.uint32)
-
-        def hashed(value: np.ndarray) -> np.ndarray:
-            nonlocal hashconst
-            value = value ^ hashconst
-            hashconst = hashconst * _MULT_A
-            value = value * hashconst
-            return value ^ (value >> _U32_16)
-
-        for i in range(4):
-            pool[i] = hashed(words[i])
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    mixed = pool[dst] * _MIX_MULT_L - hashed(pool[src]) * _MIX_MULT_R
-                    pool[dst] = mixed ^ (mixed >> _U32_16)
-
-        out32 = np.zeros((8, n), dtype=np.uint64)
-        hashconst_b = np.full(n, _INIT_B, dtype=np.uint32)
-        for i in range(8):
-            value = pool[i % 4] ^ hashconst_b
-            hashconst_b = hashconst_b * _MULT_B
-            value = value * hashconst_b
-            out32[i] = value ^ (value >> _U32_16)
-
-        val = [out32[2 * j] | (out32[2 * j + 1] << _U64_32) for j in range(4)]
-        # initstate = val0:val1, initseq = val2:val3 (big-halves first);
-        # inc = (initseq << 1) | 1, state = (inc + initstate) * MULT + inc.
-        inc_lo = (val[3] << _U64_1) | _U64_1
-        inc_hi = (val[2] << _U64_1) | (val[3] >> _U64_63)
-        t_lo = val[1] + inc_lo
-        t_hi = val[0] + inc_hi + (t_lo < val[1]).astype(np.uint64)
-    hi, lo = _mul128_add(t_hi, t_lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
-
-
-def _visit_entropy(publishers: Sequence["Publisher"], visit_index: int) -> np.ndarray:
-    """The second SeedSequence entropy word of every page's visit stream."""
-    return np.fromiter(
-        (stable_hash("visit", p.domain, visit_index) & 0xFFFFFFFF for p in publishers),
-        dtype=np.uint32,
-        count=len(publishers),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1031,12 +919,12 @@ def simulate_shard_columnar(
     table.precompile(publishers)
     sims = _sims_for(table, detector.known_partners, publishers)
 
-    state_hi, state_lo, inc_hi, inc_lo = _seed_states(
-        config.seed, _visit_entropy(publishers, crawl_day)
+    state_hi, state_lo, inc_hi, inc_lo = derive_states(
+        config.seed, [("visit", p.domain, crawl_day) for p in publishers]
     )
     # Every page's first draw: the waterfall gate for non-HB pages.
-    hi1, lo1 = _mul128_add(state_hi, state_lo, inc_hi, inc_lo)
-    first_draw = _output_doubles(hi1, lo1)
+    hi1, lo1 = mul128_add(state_hi, state_lo, inc_hi, inc_lo)
+    first_draw = output_doubles(hi1, lo1)
 
     gate_probability = browser.non_hb_ad_probability
     timeout_ms = browser.page_load_timeout_ms
@@ -1064,32 +952,20 @@ def simulate_shard_columnar(
         t_arr = html.copy()
         cur_hi, cur_lo = hi1, lo1
         for k in range(int(totals[plain].max())):
-            cur_hi, cur_lo = _mul128_add(cur_hi, cur_lo, inc_hi, inc_lo)
-            u = _output_doubles(cur_hi, cur_lo)
+            cur_hi, cur_lo = mul128_add(cur_hi, cur_lo, inc_hi, inc_lo)
+            u = output_doubles(cur_hi, cur_lo)
             value = np.where(k < n_res, 5.0 + 35.0 * u, 3.0 + 17.0 * u)
             t_arr = np.where(plain & (k < totals), t_arr + value, t_arr)
         load_plain = t_arr + content
 
     # One reusable generator, re-activated per ad page with the precomputed
     # stream state (initial state for HB pages, post-gate for waterfall).
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_generator = gen.bit_generator
-    state_template: dict = {
-        "bit_generator": "PCG64",
-        "state": {"state": 0, "inc": 0},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    inner_state = state_template["state"]
-
     # Bulk-convert the state arrays to Python ints once; per-page
     # ``int(arr[i])`` item getters dominate the loop otherwise.
-    state_hi_l = state_hi.tolist()
-    state_lo_l = state_lo.tolist()
-    inc_hi_l = inc_hi.tolist()
-    inc_lo_l = inc_lo.tolist()
-    hi1_l = hi1.tolist()
-    lo1_l = lo1.tolist()
+    activate = StreamActivator().activate
+    state_l = join128(state_hi, state_lo)
+    inc_l = join128(inc_hi, inc_lo)
+    state1_l = join128(hi1, lo1)
     plain_l = plain.tolist()
     load_plain_l = load_plain.tolist() if load_plain is not None else None
 
@@ -1106,9 +982,7 @@ def simulate_shard_columnar(
         result.pages_visited += 1
         pages_in_session += 1
         if sim.uses_hb:
-            inner_state["state"] = (state_hi_l[i] << 64) | state_lo_l[i]
-            inner_state["inc"] = (inc_hi_l[i] << 64) | inc_lo_l[i]
-            bit_generator.state = state_template
+            gen = activate(state_l[i], inc_l[i])
             detection, load_event = _simulate_hb_page(sim, gen, detector, crawl_day)
         elif plain_l[i]:
             load_event = load_plain_l[i]
@@ -1117,10 +991,7 @@ def simulate_shard_columnar(
                 crawl_day=crawl_day, page_load_ms=load_event,
             )
         else:
-            inner_state["state"] = (hi1_l[i] << 64) | lo1_l[i]
-            inner_state["inc"] = (inc_hi_l[i] << 64) | inc_lo_l[i]
-            bit_generator.state = state_template
-            load_event = _simulate_waterfall_page(sim, gen)
+            load_event = _simulate_waterfall_page(sim, activate(state1_l[i], inc_l[i]))
             detection = SiteDetection(
                 domain=sim.domain, rank=sim.rank, hb_detected=False,
                 crawl_day=crawl_day, page_load_ms=load_event,

@@ -53,11 +53,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.browser.page import Page, build_page
+from repro.browser.page import BASELINE_RESOURCE_URLS, Page, build_page, build_pages
 from repro.ecosystem.bidding import popularity_price_multiplier
 from repro.ecosystem.partners import DemandPartner, LatencyModel, PartnerResponse
 from repro.ecosystem.publishers import Publisher
 from repro.models import STANDARD_SIZES, AdSlotSize, HBFacet
+from repro.utils.rng import sample_without_replacement, weighted_cdf
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hb.environment import AuctionEnvironment
@@ -81,51 +82,6 @@ __all__ = [
 
 #: Size labels every partner profile's price mapping covers from the start.
 _STANDARD_LABELS = frozenset(size.label for size in STANDARD_SIZES)
-
-
-def sample_without_replacement(
-    rng: np.random.Generator,
-    p: np.ndarray,
-    cdf: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """``rng.choice(len(p), size=size, replace=False, p=p)`` with a precomputed CDF.
-
-    ``Generator.choice`` spends most of its ~25 µs per call validating and
-    re-normalising ``p`` and rebuilding its cumulative distribution; the hot
-    loops here draw from the *same* distribution thousands of times per
-    crawl.  This reproduces numpy's draw algorithm — batched uniform draw,
-    right-bisect into the CDF, de-duplicate keeping first occurrences, redraw
-    over the zeroed remainder on collision — bit-identically (same stream
-    consumption, same result order).  ``tests/test_profiles.py`` asserts
-    exact agreement with ``Generator.choice``, values and stream state both,
-    so a numpy algorithm change cannot silently break byte-identity.
-    """
-    x = rng.random((size,))
-    new = cdf.searchsorted(x, side="right")
-    if size == 1:
-        return new
-    _, unique_indices = np.unique(new, return_index=True)
-    if unique_indices.size == size:  # common case: no collision
-        return new
-    unique_indices.sort()
-    new = new.take(unique_indices)
-    found = np.zeros(size, dtype=new.dtype)
-    found[: new.size] = new
-    n_uniq = new.size
-    p = p.copy()
-    while n_uniq < size:
-        x = rng.random((size - n_uniq,))
-        p[found[0:n_uniq]] = 0
-        remaining_cdf = np.cumsum(p)
-        remaining_cdf /= remaining_cdf[-1]
-        new = remaining_cdf.searchsorted(x, side="right")
-        _, unique_indices = np.unique(new, return_index=True)
-        unique_indices.sort()
-        new = new.take(unique_indices)
-        found[n_uniq : n_uniq + new.size] = new
-        n_uniq += new.size
-    return found
 
 
 #: Waterfall model parameters shared with :mod:`repro.hb.waterfall` (which
@@ -406,7 +362,7 @@ class SiteProfileTable:
             profile.publisher is publisher or profile.publisher == publisher
         ):
             return profile
-        profile = self._compile(publisher)
+        profile = self._compile(publisher, build_page(publisher, seed=self.seed))
         with self._lock:
             if len(self._profiles) >= self.max_sites and publisher.domain not in self._profiles:
                 # Bounded: drop the oldest half wholesale.  Eviction is rare
@@ -424,19 +380,24 @@ class SiteProfileTable:
         site), this compiles every missing profile first and publishes the
         whole batch under a single lock acquisition, so shard warm-up does
         not serialize behind per-site locking.  A fully warm batch touches
-        the lock zero times.
+        the lock zero times.  The missing sites' pages are built by
+        :func:`~repro.browser.page.build_pages`, which seeds their page
+        streams in one vectorized pass.
         """
         profiles = self._profiles
-        fresh: list[tuple[str, SiteProfile]] = []
+        missing = []
         for publisher in publishers:
             profile = profiles.get(publisher.domain)
-            if profile is not None and (
+            if profile is None or not (
                 profile.publisher is publisher or profile.publisher == publisher
             ):
-                continue
-            fresh.append((publisher.domain, self._compile(publisher)))
-        if not fresh:
+                missing.append(publisher)
+        if not missing:
             return
+        fresh = [
+            (publisher.domain, self._compile(publisher, page))
+            for publisher, page in zip(missing, build_pages(missing, seed=self.seed))
+        ]
         with self._lock:
             for domain, profile in fresh:
                 if len(profiles) >= self.max_sites and domain not in profiles:
@@ -541,10 +502,7 @@ class SiteProfileTable:
         # dataclass equality the environment's ``not in`` runs is slow.
         candidates = [p for p in env.registry.partners if p.name not in excluded]
         if candidates:
-            weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
-            weights = weights / weights.sum()
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
+            weights, cdf = weighted_cdf([p.popularity_weight for p in candidates])
             pool = InternalPool(
                 bounds=env.internal_auction_pool,
                 profiles=tuple(self._partner_profile(p, scale, facet) for p in candidates),
@@ -567,10 +525,7 @@ class SiteProfileTable:
         profiles: dict[str, WaterfallPartnerProfile] = {}
         for n_levels in range(1, max_levels + 1):
             head = partners[: waterfall_head_size(n_levels)]
-            weights = np.asarray([p.popularity_weight for p in head], dtype=float)
-            weights = weights / weights.sum()
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
+            weights, cdf = weighted_cdf([p.popularity_weight for p in head])
             heads.append((tuple(head), weights, cdf))
             for partner in head:
                 if partner.name in profiles:
@@ -596,13 +551,10 @@ class SiteProfileTable:
             self._waterfall_cache.setdefault(scale, site_wf)
         return self._waterfall_cache[scale]
 
-    def _compile(self, publisher: Publisher) -> SiteProfile:
+    def _compile(self, publisher: Publisher, page: Page) -> SiteProfile:
         self.compiles += 1
         env = self.environment
-        page = build_page(publisher, seed=self.seed)
-        from repro.utils.urls import build_url
-
-        resource_urls = tuple(build_url(host, path) for host, path in page.baseline_resources)
+        resource_urls = BASELINE_RESOURCE_URLS[: len(page.baseline_resources)]
         if not publisher.uses_hb:
             return SiteProfile(
                 publisher=publisher,

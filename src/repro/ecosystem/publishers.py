@@ -26,7 +26,16 @@ from repro.errors import ConfigurationError
 from repro.models import AdSlot, AdSlotSize, HBFacet, WrapperKind, STANDARD_SIZES
 from repro.ecosystem.partners import DemandPartner
 from repro.ecosystem.registry import PartnerRegistry, default_registry
-from repro.utils.rng import derive_rng
+from repro.utils.rng import (
+    StreamActivator,
+    choose_index,
+    derive_states,
+    join128,
+    mul128_add,
+    output_doubles,
+    sample_without_replacement,
+    weighted_cdf,
+)
 
 __all__ = [
     "PopulationConfig",
@@ -310,33 +319,80 @@ def _site_domain(rank: int) -> str:
     return f"site-{rank:06d}.example"
 
 
-def _choose_from_shares(rng: np.random.Generator, shares: Sequence[tuple[object, float]]) -> object:
-    values = [value for value, _ in shares]
-    weights = np.asarray([weight for _, weight in shares], dtype=float)
-    weights = weights / weights.sum()
-    return values[int(rng.choice(len(values), p=weights))]
+class _Categorical:
+    """Values with a weighted distribution normalised once, not per draw.
+
+    :meth:`draw` equals ``values[rng.choice(len(values), p=p)]`` and
+    :meth:`sample` equals ``rng.choice(..., size=count, replace=False, p=p)``
+    for ``p = weights / weights.sum()``, draw for draw and stream state
+    included: both bisect the CDF ``Generator.choice`` would build.
+    """
+
+    __slots__ = ("values", "p", "cdf", "cdf_list", "n_positive")
+
+    def __init__(self, values: Sequence[object], weights: Sequence[float]) -> None:
+        self.values = tuple(values)
+        if self.values:
+            self.p, self.cdf = weighted_cdf(weights)
+            self.cdf_list = self.cdf.tolist()
+            self.n_positive = int(np.count_nonzero(self.p > 0))
+
+    def draw(self, rng: np.random.Generator) -> object:
+        return self.values[choose_index(rng, self.cdf_list)]
+
+    def sample(self, rng: np.random.Generator, count: int) -> list:
+        count = min(count, len(self.values))
+        if count == 0:
+            return []
+        if count > self.n_positive:
+            raise ValueError("Fewer non-zero entries in p than size")
+        chosen = sample_without_replacement(rng, self.p, self.cdf, count)
+        return [self.values[i] for i in chosen.tolist()]
 
 
-def _sample_size(rng: np.random.Generator, facet: HBFacet) -> AdSlotSize:
-    weights = _SIZE_WEIGHTS[facet]
-    labels = list(weights)
-    probabilities = np.asarray([weights[label] for label in labels], dtype=float)
-    probabilities = probabilities / probabilities.sum()
-    label = labels[int(rng.choice(len(labels), p=probabilities))]
-    return _SIZE_BY_LABEL[label]
+class _PopulationDraws:
+    """Every distribution one population draws from, built once per call.
+
+    Pure functions of ``(config, registry)``; rebuilt by each
+    :func:`generate_population` call, never cached across calls.
+    """
+
+    __slots__ = (
+        "facet", "wrapper", "partner_count", "size_by_facet",
+        "dfp", "server_side_aggregators", "partner_candidates",
+    )
+
+    def __init__(self, config: PopulationConfig, registry: PartnerRegistry) -> None:
+        self.facet = _Categorical(*zip(*config.facet_shares))
+        self.wrapper = _Categorical(*zip(*config.wrapper_shares))
+        self.partner_count = _Categorical(*zip(*config.partner_count_distribution))
+        self.size_by_facet = {
+            facet: _Categorical([_SIZE_BY_LABEL[label] for label in weights], list(weights.values()))
+            for facet, weights in _SIZE_WEIGHTS.items()
+        }
+        ad_servers = registry.ad_servers()
+        dfp = ad_servers[0] if ad_servers else registry.partners[0]
+        self.dfp = dfp
+        capable = [p for p in registry.server_side_capable() if p is not dfp]
+        self.server_side_aggregators = _Categorical(capable, [p.popularity_weight for p in capable])
+        candidates = [p for p in registry.partners if p is not dfp]
+        self.partner_candidates = _Categorical(
+            candidates, [p.popularity_weight for p in candidates]
+        )
 
 
-def _build_slots(rng: np.random.Generator, config: PopulationConfig, facet: HBFacet,
-                 domain: str) -> tuple[tuple[AdSlot, ...], tuple[AdSlot, ...]]:
+def _build_slots(rng: np.random.Generator, config: PopulationConfig, draws: _PopulationDraws,
+                 facet: HBFacet, domain: str) -> tuple[tuple[AdSlot, ...], tuple[AdSlot, ...]]:
     """Return (display slots, auctioned slots) for one publisher page."""
     mean = dict(config.slot_mean_by_facet)[facet]
     n_slots = 1 + int(rng.poisson(max(mean - 1.0, 0.1)))
+    sizes = draws.size_by_facet[facet]
     slots = []
     for index in range(n_slots):
-        primary = _sample_size(rng, facet)
+        primary = sizes.draw(rng)
         extra_sizes: tuple[AdSlotSize, ...] = ()
         if rng.random() < 0.3:
-            extra_sizes = (_sample_size(rng, facet),)
+            extra_sizes = (sizes.draw(rng),)
         slots.append(AdSlot(code=f"div-gpt-ad-{domain}-{index}", primary_size=primary,
                             sizes=(primary, *extra_sizes)))
     auctioned = list(slots)
@@ -350,59 +406,39 @@ def _build_slots(rng: np.random.Generator, config: PopulationConfig, facet: HBFa
                 auctioned.append(
                     AdSlot(
                         code=f"{slot.code}-device{copy_index}",
-                        primary_size=_sample_size(rng, facet),
+                        primary_size=sizes.draw(rng),
                         floor_cpm=slot.floor_cpm,
                     )
                 )
     return tuple(slots), tuple(auctioned)
 
 
-def _weighted_sample_without_replacement(
-    rng: np.random.Generator,
-    candidates: Sequence[DemandPartner],
-    count: int,
-) -> list[DemandPartner]:
-    weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
-    weights = weights / weights.sum()
-    count = min(count, len(candidates))
-    chosen = rng.choice(len(candidates), size=count, replace=False, p=weights)
-    return [candidates[int(i)] for i in np.atleast_1d(chosen)]
-
-
 def _choose_partners(
     rng: np.random.Generator,
     config: PopulationConfig,
-    registry: PartnerRegistry,
+    draws: _PopulationDraws,
     facet: HBFacet,
 ) -> tuple[tuple[DemandPartner, ...], DemandPartner | None]:
     """Pick the visible partner mix and the ad server for one HB publisher."""
-    ad_servers = registry.ad_servers()
-    dfp = ad_servers[0] if ad_servers else registry.partners[0]
+    dfp = draws.dfp
 
     if facet is HBFacet.SERVER_SIDE:
         # A single aggregation endpoint handles everything.
         if rng.random() < config.server_side_dfp_share:
             aggregator = dfp
         else:
-            capable = [p for p in registry.server_side_capable() if p is not dfp]
-            aggregator = (
-                _weighted_sample_without_replacement(rng, capable, 1)[0] if capable else dfp
-            )
+            capable = draws.server_side_aggregators
+            aggregator = capable.sample(rng, 1)[0] if capable.values else dfp
         return (aggregator,), aggregator
 
-    n_partners = int(
-        _choose_from_shares(
-            rng, [(count, share) for count, share in config.partner_count_distribution]
-        )
-    )
+    n_partners = int(draws.partner_count.draw(rng))
     partners: list[DemandPartner] = []
     include_dfp = rng.random() < config.multi_partner_dfp_share
     if include_dfp:
         partners.append(dfp)
-    candidates = [p for p in registry.partners if p is not dfp]
     needed = n_partners - len(partners)
     if needed > 0:
-        partners.extend(_weighted_sample_without_replacement(rng, candidates, needed))
+        partners.extend(draws.partner_candidates.sample(rng, needed))
 
     # De-duplicate while preserving order (DFP first when present).
     unique: list[DemandPartner] = []
@@ -433,27 +469,23 @@ def _latency_scale(rank: int, config: PopulationConfig) -> float:
     return 1.0
 
 
-def _build_publisher(rank: int, config: PopulationConfig, registry: PartnerRegistry,
-                     seed: int) -> Publisher:
-    rng = derive_rng(seed, "publisher", rank)
+def _build_hb_publisher(rng: np.random.Generator, rank: int, config: PopulationConfig,
+                        draws: _PopulationDraws) -> Publisher:
+    """The publisher at ``rank``, which adopted HB; ``rng`` is its stream
+    positioned just after the adoption draw."""
     domain = _site_domain(rank)
-    uses_hb = rng.random() < config.adoption_probability(rank)
-    latency_scale = _latency_scale(rank, config)
-    if not uses_hb:
-        return Publisher(domain=domain, rank=rank, uses_hb=False, latency_scale=latency_scale)
-
-    facet = _choose_from_shares(rng, list(config.facet_shares))
+    facet = draws.facet.draw(rng)
     assert isinstance(facet, HBFacet)
-    partners, ad_server = _choose_partners(rng, config, registry, facet)
+    partners, ad_server = _choose_partners(rng, config, draws, facet)
 
     if facet is HBFacet.SERVER_SIDE:
         # Server-side sites run the aggregator-provided tag (gpt.js for DFP).
         wrapper = WrapperKind.GPT if ad_server is not None and ad_server.can_serve_ads else WrapperKind.CUSTOM
     else:
-        wrapper = _choose_from_shares(rng, list(config.wrapper_shares))
+        wrapper = draws.wrapper.draw(rng)
         assert isinstance(wrapper, WrapperKind)
 
-    slots, auctioned = _build_slots(rng, config, facet, domain)
+    slots, auctioned = _build_slots(rng, config, draws, facet, domain)
 
     timeout_ms = config.default_timeout_ms
     if rng.random() < config.custom_timeout_rate:
@@ -473,7 +505,7 @@ def _build_publisher(rank: int, config: PopulationConfig, registry: PartnerRegis
         auctioned_slots=auctioned,
         timeout_ms=timeout_ms,
         misconfigured_wrapper=misconfigured,
-        latency_scale=latency_scale,
+        latency_scale=_latency_scale(rank, config),
     )
 
 
@@ -485,11 +517,35 @@ def generate_population(
 
     The generation is deterministic in ``config.seed``: the same configuration
     always yields the identical population.
+
+    Each site draws from its own stream, ``derive_rng(seed, "publisher",
+    rank)``.  The first draw decides adoption, and most sites draw nothing
+    else, so every stream is seeded and its adoption draw taken in one
+    vectorized pass (:func:`~repro.utils.rng.derive_states`).  Only adopters
+    continue their stream, on one reusable generator activated at the
+    post-adoption state.
     """
     config = config or PopulationConfig()
     registry = registry or default_registry(seed=config.seed)
+    ranks = range(1, config.total_sites + 1)
+    hi, lo, inc_hi, inc_lo = derive_states(config.seed, [("publisher", rank) for rank in ranks])
+    hi, lo = mul128_add(hi, lo, inc_hi, inc_lo)
+    probability = np.array([config.adoption_probability(rank) for rank in ranks])
+    adopters = np.flatnonzero(output_doubles(hi, lo) < probability)
+
+    adopted: dict[int, Publisher] = {}
+    if adopters.size:
+        draws = _PopulationDraws(config, registry)
+        activate = StreamActivator().activate
+        states = join128(hi[adopters], lo[adopters])
+        incs = join128(inc_hi[adopters], inc_lo[adopters])
+        for rank, state, inc in zip((adopters + 1).tolist(), states, incs):
+            adopted[rank] = _build_hb_publisher(activate(state, inc), rank, config, draws)
     publishers = [
-        _build_publisher(rank, config, registry, config.seed)
-        for rank in range(1, config.total_sites + 1)
+        adopted[rank] if rank in adopted else Publisher(
+            domain=_site_domain(rank), rank=rank, uses_hb=False,
+            latency_scale=_latency_scale(rank, config),
+        )
+        for rank in ranks
     ]
     return PublisherPopulation(publishers, config, registry)

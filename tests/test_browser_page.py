@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.browser.page import WRAPPER_SCRIPT_URLS, build_page
+from repro.browser.page import WRAPPER_SCRIPT_URLS, build_page, build_pages
 from repro.models import WrapperKind
 
 
@@ -40,3 +40,9 @@ class TestBuildPage:
     def test_baseline_resources_are_a_subset_of_catalogue(self, non_hb_publisher):
         page = build_page(non_hb_publisher, seed=3)
         assert 3 <= len(page.baseline_resources) <= 6
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 60])
+    def test_build_pages_equals_build_page_per_site(self, small_population, count):
+        """Batch-seeded pages equal ``derive_rng``-seeded ones, at any batch size."""
+        publishers = list(small_population)[100:100 + count]
+        assert build_pages(publishers, seed=3) == [build_page(p, seed=3) for p in publishers]

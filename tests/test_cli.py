@@ -1,7 +1,13 @@
 """Tests for the hbrepro command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -383,3 +389,17 @@ class TestDaemonCli:
         assert "ALERT day 2:" in out
         assert (workdir / "detections.hbc").exists()
         assert (workdir / "alerts.jsonl").read_text().count("\n") == 1
+
+
+class TestImportCost:
+    def test_cli_import_leaves_the_process_pool_machinery_unloaded(self):
+        """Only a process-pool crawl needs ``concurrent.futures.process`` (and
+        the multiprocessing machinery behind it); every other command —
+        serial runs, ``analyze``, ``list`` — must not pay for importing it."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, repro.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

@@ -1,12 +1,21 @@
 """Unit and calibration tests for publisher population generation."""
 
 import collections
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from repro.ecosystem.publishers import PopulationConfig, Publisher, generate_population
+from repro.ecosystem.publishers import (
+    _SIZE_BY_LABEL,
+    _SIZE_WEIGHTS,
+    PopulationConfig,
+    Publisher,
+    generate_population,
+)
 from repro.errors import ConfigurationError
 from repro.models import AdSlot, AdSlotSize, HBFacet, WrapperKind
+from repro.utils.rng import derive_rng
 
 
 class TestPopulationConfig:
@@ -34,6 +43,21 @@ class TestPopulationConfig:
             PopulationConfig(facet_shares=((HBFacet.CLIENT_SIDE, 0.5),))
         with pytest.raises(ConfigurationError):
             PopulationConfig(misconfigured_wrapper_rate=1.5)
+
+    @pytest.mark.parametrize(
+        "shares",
+        [
+            ((WrapperKind.PREBID, 1.2), (WrapperKind.GPT, -0.2)),
+            ((WrapperKind.PREBID, 0.0), (WrapperKind.GPT, 0.0)),
+            ((WrapperKind.PREBID, float("nan")), (WrapperKind.GPT, 0.5)),
+        ],
+    )
+    def test_generation_rejects_invalid_wrapper_shares(self, registry, shares):
+        """Shares ``Generator.choice(p=...)`` would refuse fail loudly, not
+        skew the population through a non-monotonic CDF."""
+        config = PopulationConfig(total_sites=50, wrapper_shares=shares)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            generate_population(config, registry)
 
 
 class TestPublisherValidation:
@@ -132,3 +156,137 @@ class TestGeneratedPopulation:
         inflated = [p for p in population.hb_publishers()
                     if p.n_auctioned_slots > p.n_display_slots]
         assert inflated, "expected at least one publisher auctioning device duplicates"
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-site generator, one derive_rng stream and one
+# Generator.choice(p=...) per categorical draw.  generate_population batch-
+# seeds the streams and bisects precomputed CDFs; it must match this
+# draw-for-draw.
+
+
+def _oracle_choose_from_shares(rng, shares):
+    values = [value for value, _ in shares]
+    weights = np.asarray([weight for _, weight in shares], dtype=float)
+    weights = weights / weights.sum()
+    return values[int(rng.choice(len(values), p=weights))]
+
+
+def _oracle_sample_size(rng, facet):
+    weights = _SIZE_WEIGHTS[facet]
+    labels = list(weights)
+    probabilities = np.asarray([weights[label] for label in labels], dtype=float)
+    probabilities = probabilities / probabilities.sum()
+    return _SIZE_BY_LABEL[labels[int(rng.choice(len(labels), p=probabilities))]]
+
+
+def _oracle_build_slots(rng, config, facet, domain):
+    mean = dict(config.slot_mean_by_facet)[facet]
+    n_slots = 1 + int(rng.poisson(max(mean - 1.0, 0.1)))
+    slots = []
+    for index in range(n_slots):
+        primary = _oracle_sample_size(rng, facet)
+        extra_sizes = ()
+        if rng.random() < 0.3:
+            extra_sizes = (_oracle_sample_size(rng, facet),)
+        slots.append(AdSlot(code=f"div-gpt-ad-{domain}-{index}", primary_size=primary,
+                            sizes=(primary, *extra_sizes)))
+    auctioned = list(slots)
+    if rng.random() < config.multi_device_duplicate_rate:
+        duplicates = int(rng.integers(2, 5))
+        for copy_index in range(1, duplicates + 1):
+            for slot in slots:
+                auctioned.append(AdSlot(code=f"{slot.code}-device{copy_index}",
+                                        primary_size=_oracle_sample_size(rng, facet),
+                                        floor_cpm=slot.floor_cpm))
+    return tuple(slots), tuple(auctioned)
+
+
+def _oracle_weighted_sample(rng, candidates, count):
+    weights = np.asarray([p.popularity_weight for p in candidates], dtype=float)
+    weights = weights / weights.sum()
+    count = min(count, len(candidates))
+    chosen = rng.choice(len(candidates), size=count, replace=False, p=weights)
+    return [candidates[int(i)] for i in np.atleast_1d(chosen)]
+
+
+def _oracle_choose_partners(rng, config, registry, facet):
+    ad_servers = registry.ad_servers()
+    dfp = ad_servers[0] if ad_servers else registry.partners[0]
+    if facet is HBFacet.SERVER_SIDE:
+        if rng.random() < config.server_side_dfp_share:
+            aggregator = dfp
+        else:
+            capable = [p for p in registry.server_side_capable() if p is not dfp]
+            aggregator = _oracle_weighted_sample(rng, capable, 1)[0] if capable else dfp
+        return (aggregator,), aggregator
+    n_partners = int(_oracle_choose_from_shares(rng, list(config.partner_count_distribution)))
+    partners = []
+    if rng.random() < config.multi_partner_dfp_share:
+        partners.append(dfp)
+    candidates = [p for p in registry.partners if p is not dfp]
+    needed = n_partners - len(partners)
+    if needed > 0:
+        partners.extend(_oracle_weighted_sample(rng, candidates, needed))
+    unique = []
+    for partner in partners:
+        if partner not in unique:
+            unique.append(partner)
+    if facet is HBFacet.HYBRID:
+        if any(p is dfp for p in unique):
+            ad_server = dfp
+        else:
+            capable = [p for p in unique if p.can_run_server_side]
+            ad_server = capable[0] if capable else dfp
+    else:
+        ad_server = None
+    return tuple(unique), ad_server
+
+
+def _oracle_latency_scale(rank, config):
+    if rank <= config.top_rank_threshold:
+        return config.top_rank_latency_scale
+    if rank <= config.head_rank_threshold:
+        return config.head_latency_scale
+    return 1.0
+
+
+def _oracle_publisher(rank, config, registry):
+    rng = derive_rng(config.seed, "publisher", rank)
+    domain = f"site-{rank:06d}.example"
+    latency_scale = _oracle_latency_scale(rank, config)
+    if not rng.random() < config.adoption_probability(rank):
+        return Publisher(domain=domain, rank=rank, uses_hb=False, latency_scale=latency_scale)
+    facet = _oracle_choose_from_shares(rng, list(config.facet_shares))
+    partners, ad_server = _oracle_choose_partners(rng, config, registry, facet)
+    if facet is HBFacet.SERVER_SIDE:
+        wrapper = (WrapperKind.GPT if ad_server is not None and ad_server.can_serve_ads
+                   else WrapperKind.CUSTOM)
+    else:
+        wrapper = _oracle_choose_from_shares(rng, list(config.wrapper_shares))
+    slots, auctioned = _oracle_build_slots(rng, config, facet, domain)
+    timeout_ms = config.default_timeout_ms
+    if rng.random() < config.custom_timeout_rate:
+        low, high = config.custom_timeout_range_ms
+        timeout_ms = float(rng.uniform(low, high))
+    misconfigured = (facet is not HBFacet.SERVER_SIDE
+                     and rng.random() < config.misconfigured_wrapper_rate)
+    return Publisher(domain=domain, rank=rank, uses_hb=True, facet=facet, wrapper=wrapper,
+                     partners=partners, ad_server=ad_server, slots=slots,
+                     auctioned_slots=auctioned, timeout_ms=timeout_ms,
+                     misconfigured_wrapper=misconfigured, latency_scale=latency_scale)
+
+
+class TestBatchSeededGeneration:
+    @pytest.mark.parametrize("seed", [7, 1001, 2**32 + 7])
+    def test_matches_per_site_oracle_field_by_field(self, seed, registry):
+        config = PopulationConfig(seed=seed).scaled(1_500)
+        population = generate_population(config, registry)
+        assert len(population) == 1_500
+        assert 0 < len(population.hb_publishers()) < 1_500
+        for publisher in population:
+            expected = _oracle_publisher(publisher.rank, config, registry)
+            for field in fields(Publisher):
+                got, want = getattr(publisher, field.name), getattr(expected, field.name)
+                assert type(got) is type(want), (publisher.domain, field.name)
+                assert got == want, (publisher.domain, field.name)

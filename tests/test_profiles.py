@@ -18,6 +18,7 @@ from repro.ecosystem.profiles import (
 )
 from repro.ecosystem.publishers import PopulationConfig, generate_population
 from repro.models import HBFacet
+from repro.utils.rng import choose_index, weighted_cdf
 
 
 def fresh_pair(seed=123):
@@ -57,6 +58,30 @@ class TestSampleWithoutReplacement:
             got = sample_without_replacement(b, p, cdf, 3)
             assert list(expected) == list(got)
         assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestChooseIndex:
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 20, 83])
+    def test_matches_generator_choice_exactly(self, n):
+        """One-draw weighted choice over a precomputed CDF: values AND stream
+        state agree with ``Generator.choice(n, p=p)``, draw for draw."""
+        weights = np.random.default_rng(n).random(n) + 0.01
+        p, cdf = weighted_cdf(weights)
+        assert p.tolist() == (weights / weights.sum()).tolist()
+        cdf_list = cdf.tolist()
+        a, b = fresh_pair(seed=n * 17)
+        for _ in range(2000):
+            assert int(a.choice(n, p=weights / weights.sum())) == choose_index(b, cdf_list)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_configured_shares(self):
+        """The population's own share tables, including a zero-share entry."""
+        for weights in ([0.480, 0.347, 0.173], [0.64, 0.24, 0.07, 0.05], [1.0, 0.0, 2.5]):
+            p, cdf = weighted_cdf(weights)
+            a, b = fresh_pair(seed=len(weights))
+            for _ in range(1000):
+                assert int(a.choice(len(weights), p=p)) == choose_index(b, cdf.tolist())
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestLatencyDraw:
@@ -193,6 +218,25 @@ class TestSiteProfileTable:
         for publisher in list(small_population)[:10]:
             profile = table.profile_for(publisher)
             assert profile.page == build_page(publisher, seed=13)
+
+    def test_batch_seeded_pages_match_slow_build(self, environment, small_population):
+        """``precompile`` seeds page streams in one vectorized pass; every
+        page (and its resource URL list) equals the per-site derivation."""
+        from repro.browser.page import build_page
+        from repro.utils.urls import build_url
+
+        table = SiteProfileTable(environment, seed=13)
+        sites = list(small_population)
+        assert len(sites) == 600
+        table.precompile(sites)
+        assert table.compiles == len(sites)
+        for publisher in sites:
+            profile = table.profile_for(publisher)
+            page = build_page(publisher, seed=13)
+            assert profile.page == page
+            assert profile.resource_urls == tuple(
+                build_url(host, path) for host, path in page.baseline_resources
+            )
 
     def test_profiles_are_cached_per_domain(self, environment, small_population):
         table = SiteProfileTable(environment, seed=13)
